@@ -1,7 +1,10 @@
 // Conjugate gradient for symmetric positive (semi-)definite operators
 // given only as a matvec callback -- the inner solver of each LoLi-IR
 // half-step, where forming the full normal-equation matrix over all of
-// vec(L) or vec(R) would be wasteful.
+// vec(L) or vec(R) would be wasteful.  The in-place solver optionally
+// takes a preconditioner (an apply-callback for M^-1), turning it into
+// preconditioned CG; LoLi-IR passes the block-Jacobi inverse of its
+// per-link / per-grid r x r blocks.
 #pragma once
 
 #include <cstddef>
@@ -41,12 +44,13 @@ struct CgSummary {
   double residual_norm = 0.0;
 };
 
-/// Reusable scratch for conjugate_gradient_in_place: three work vectors
-/// the solver resizes as needed.  Hoist one instance outside an
-/// iteration loop (or back it with Workspace leases) and the solver
-/// performs no heap allocation after the first call.
+/// Caller-owned work vectors for conjugate_gradient_in_place, each
+/// holding at least the system's length (the solver uses the leading
+/// elements).  `z` is touched only by a preconditioned solve and may be
+/// empty otherwise.  Back them with buffers that outlive the solve loop
+/// (e.g. Workspace leases) and the solver performs no heap allocation.
 struct CgScratch {
-  Vector r, p, ap;
+  std::span<double> r, p, ap, z;
 };
 
 /// Solve A x = b with CG starting from x0 (pass an all-zero vector when
@@ -60,8 +64,14 @@ CgResult conjugate_gradient(const LinearOperator& apply, std::span<const double>
 /// final iterate on exit; all temporaries come from `scratch`.
 /// Identical arithmetic to conjugate_gradient (the value API is a thin
 /// wrapper over this one).
+///
+/// A non-empty `precondition` makes it preconditioned CG: the callback
+/// writes z = M^-1 r for a fixed SPD approximation M of A.  The stopping
+/// rule still tests the unpreconditioned residual ||b - A x||.  With an
+/// empty callback the arithmetic is bit-identical to plain CG.
 CgSummary conjugate_gradient_in_place(const LinearOperatorInto& apply, std::span<const double> b,
-                                      std::span<double> x, CgScratch& scratch,
-                                      const CgOptions& options = {});
+                                      std::span<double> x, const CgScratch& scratch,
+                                      const CgOptions& options = {},
+                                      const LinearOperatorInto& precondition = {});
 
 }  // namespace tafloc

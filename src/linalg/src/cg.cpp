@@ -1,5 +1,6 @@
 #include "tafloc/linalg/cg.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "tafloc/linalg/vector_ops.h"
@@ -8,8 +9,9 @@
 namespace tafloc {
 
 CgSummary conjugate_gradient_in_place(const LinearOperatorInto& apply, std::span<const double> b,
-                                      std::span<double> x, CgScratch& scratch,
-                                      const CgOptions& options) {
+                                      std::span<double> x, const CgScratch& scratch,
+                                      const CgOptions& options,
+                                      const LinearOperatorInto& precondition) {
   TAFLOC_CHECK_ARG(static_cast<bool>(apply), "CG needs a non-empty operator");
   TAFLOC_CHECK_ARG(b.size() == x.size(), "initial guess length mismatch");
   TAFLOC_CHECK_ARG(!b.empty(), "CG system must be non-empty");
@@ -17,13 +19,16 @@ CgSummary conjugate_gradient_in_place(const LinearOperatorInto& apply, std::span
 
   const std::size_t n = b.size();
   const std::size_t max_iter = options.max_iterations == 0 ? n : options.max_iterations;
+  const bool preconditioned = static_cast<bool>(precondition);
+  TAFLOC_CHECK_ARG(scratch.r.size() >= n && scratch.p.size() >= n && scratch.ap.size() >= n &&
+                       (!preconditioned || scratch.z.size() >= n),
+                   "CG scratch shorter than the system");
 
-  Vector& r = scratch.r;
-  Vector& p = scratch.p;
-  Vector& ap = scratch.ap;
-  r.resize(n);
-  p.resize(n);
-  ap.resize(n);
+  const std::span<double> r = scratch.r.first(n);
+  const std::span<double> p = scratch.p.first(n);
+  const std::span<double> ap = scratch.ap.first(n);
+  // Preconditioned residual z = M^-1 r; plain CG uses r itself.
+  const std::span<double> z = preconditioned ? scratch.z.first(n) : r;
 
   CgSummary out;
 
@@ -40,24 +45,34 @@ CgSummary conjugate_gradient_in_place(const LinearOperatorInto& apply, std::span
     return out;
   }
 
-  std::copy(r.begin(), r.end(), p.begin());
+  double rz = r_dot;
+  if (preconditioned) {
+    precondition(r, z);
+    rz = dot(r, z);
+  }
+  std::copy(z.begin(), z.end(), p.begin());
   for (std::size_t it = 0; it < max_iter; ++it) {
     apply(p, ap);
     const double p_ap = dot(p, ap);
     if (p_ap <= 0.0) break;  // operator not SPD on this subspace
-    const double alpha = r_dot / p_ap;
+    const double alpha = rz / p_ap;
     axpy(alpha, p, x);
     axpy(-alpha, ap, r);
-    const double r_dot_new = dot(r, r);
+    r_dot = dot(r, r);
     ++out.iterations;
-    out.residual_norm = std::sqrt(r_dot_new);
+    out.residual_norm = std::sqrt(r_dot);
     if (out.residual_norm <= threshold) {
       out.converged = true;
       return out;
     }
-    const double beta = r_dot_new / r_dot;
-    for (std::size_t i = 0; i < n; ++i) p[i] = r[i] + beta * p[i];
-    r_dot = r_dot_new;
+    double rz_new = r_dot;
+    if (preconditioned) {
+      precondition(r, z);
+      rz_new = dot(r, z);
+    }
+    const double beta = rz_new / rz;
+    for (std::size_t i = 0; i < n; ++i) p[i] = z[i] + beta * p[i];
+    rz = rz_new;
   }
   return out;
 }
@@ -67,7 +82,8 @@ CgResult conjugate_gradient(const LinearOperator& apply, std::span<const double>
   TAFLOC_CHECK_ARG(static_cast<bool>(apply), "CG needs a non-empty operator");
   CgResult out;
   out.x.assign(x0.begin(), x0.end());
-  CgScratch scratch;
+  Vector r(b.size()), p(b.size()), ap(b.size());
+  const CgScratch scratch{r, p, ap, {}};
   Vector in(b.size());
   const LinearOperatorInto apply_into = [&](std::span<const double> v, std::span<double> y) {
     std::copy(v.begin(), v.end(), in.begin());

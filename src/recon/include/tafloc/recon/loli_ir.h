@@ -11,11 +11,15 @@
 //            + gamma * continuity  + delta * similarity (distorted entries)
 //
 // by alternating minimization: with R fixed the objective is a ridge
-// least-squares problem in L (and vice versa), solved by conjugate
-// gradients on the normal equations, with matvecs assembled from the
-// problem terms directly (no giant Kronecker matrices).  Initialization
-// is the truncated SVD of the LRR prediction with known entries and
-// reference columns substituted in.
+// least-squares problem in L (and vice versa).  Its normal operator is
+// assembled once per half-step as one r x r block per unknown row (a
+// link's l_i, or a grid's r_j) plus pairwise couplings: adjacent-link
+// similarity blocks in the L-step, continuity pairs in the R-step.  The
+// blocks are Cholesky-factored in place; CG runs on the block operator
+// (O((M+N) r^2 + pairs r) per matvec, never re-forming L R^T), block-
+// Jacobi preconditioned with those same factors.  Initialization is the
+// truncated SVD of the LRR prediction with known entries and reference
+// columns substituted in.
 #pragma once
 
 #include <cstddef>
@@ -65,8 +69,8 @@ struct LoliIrProblem {
   Matrix prediction;        ///< X_R * Z (M x N).
   Matrix reference_columns; ///< fresh X_R (M x n).
   std::vector<std::size_t> reference_indices;  ///< grid index of each X_R column.
-  std::vector<PairwiseTerm> continuity;        ///< property-iii pairs along links.
-  std::vector<PairwiseTerm> similarity;        ///< property-iii pairs across links.
+  std::vector<PairwiseTerm> continuity;        ///< pairs along one link (row1 == row2).
+  std::vector<PairwiseTerm> similarity;        ///< pairs at one grid (col1 == col2).
   /// Link-fault mask: one 0/1 entry per row (link); empty = all rows
   /// observed.  Rows flagged 0 are treated as *unobserved* -- excluded
   /// from the data term (their `mask_undistorted` row is ignored, and

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <map>
 #include <optional>
+#include <utility>
 
 #include "tafloc/exec/thread_pool.h"
 #include "tafloc/exec/workspace.h"
@@ -39,6 +42,12 @@ void validate(const LoliIrProblem& p) {
   };
   check_pairs(p.continuity);
   check_pairs(p.similarity);
+  for (const PairwiseTerm& t : p.continuity)
+    TAFLOC_CHECK_ARG(t.row1 == t.row2, "continuity pairs must lie along one link");
+  for (const PairwiseTerm& t : p.similarity)
+    TAFLOC_CHECK_ARG(t.col1 == t.col2, "similarity pairs must lie at one grid");
+  TAFLOC_CHECK_ARG(std::max(p.continuity.size(), p.similarity.size()) <= UINT32_MAX,
+                   "too many pair terms");
   if (!p.row_observed.empty()) {
     TAFLOC_CHECK_ARG(p.row_observed.size() == p.known.rows(),
                      "row_observed must have one entry per link");
@@ -93,98 +102,219 @@ Matrix initial_estimate(const LoliIrProblem& p, const std::uint8_t* obs) {
   return x0;
 }
 
-/// Pairwise-term grain: one chunk per pool lane once the scatter work is
-/// big enough to beat fork-join overhead; otherwise one chunk (inline).
-std::size_t pairwise_grain(std::size_t target_rows, std::size_t pairs, std::size_t rank) {
+/// Grain of a loop over `rows` independent block rows: one chunk per
+/// pool lane once the work is big enough to beat fork-join overhead;
+/// otherwise one chunk (inline).  Every block row is computed by the
+/// same instruction sequence whichever lane owns it, so the split never
+/// changes a result bit.
+std::size_t block_grain(std::size_t rows, std::size_t work_per_row) {
   const std::size_t lanes = ThreadPool::global().size();
-  if (lanes <= 1 || pairs * rank < (std::size_t{1} << 14)) return target_rows;
-  return std::max<std::size_t>(1, (target_rows + lanes - 1) / lanes);
+  if (lanes <= 1 || rows * work_per_row < (std::size_t{1} << 14))
+    return std::max<std::size_t>(rows, 1);
+  return std::max<std::size_t>(1, (rows + lanes - 1) / lanes);
 }
 
-/// G/H accumulation of the L-step matvec: each lane owns a disjoint
-/// range of y's rows (links) and applies exactly the contributions
-/// landing there, scanning the shared term lists.  Per-row contribution
-/// order equals the sequential loop's (continuity first, then
-/// similarity, each in term order), so results are bit-identical at any
-/// thread count.
-void accumulate_pairwise_l(const LoliIrProblem& p, const LoliIrConfig& c, const Matrix& lw,
-                           const Matrix& r, Matrix& y) {
-  const bool has_cont = c.continuity_weight > 0.0 && !p.continuity.empty();
-  const bool has_sim = c.similarity_weight > 0.0 && !p.similarity.empty();
-  if (!has_cont && !has_sim) return;
-  const std::size_t rank = lw.cols();
-  const std::size_t grain =
-      pairwise_grain(y.rows(), p.continuity.size() + p.similarity.size(), rank);
-  ThreadPool::global().parallel_for(0, y.rows(), grain, [&](std::size_t r0, std::size_t r1) {
-    if (has_cont) {
-      for (const PairwiseTerm& t : p.continuity) {
-        // rows equal for continuity pairs (same link).
-        if (t.row1 < r0 || t.row1 >= r1) continue;
-        double s = 0.0;
-        for (std::size_t k = 0; k < rank; ++k)
-          s += lw(t.row1, k) * (r(t.col1, k) - r(t.col2, k));
-        s *= c.continuity_weight;
-        for (std::size_t k = 0; k < rank; ++k)
-          y(t.row1, k) += s * (r(t.col1, k) - r(t.col2, k));
-      }
-    }
-    if (has_sim) {
-      for (const PairwiseTerm& t : p.similarity) {
-        // cols equal for similarity pairs (same grid); the two link
-        // rows may fall in different lanes, each applying its own half.
-        const bool in1 = t.row1 >= r0 && t.row1 < r1;
-        const bool in2 = t.row2 >= r0 && t.row2 < r1;
-        if (!in1 && !in2) continue;
-        double s = 0.0;
-        for (std::size_t k = 0; k < rank; ++k)
-          s += (lw(t.row1, k) - lw(t.row2, k)) * r(t.col1, k);
-        s *= c.similarity_weight;
-        for (std::size_t k = 0; k < rank; ++k) {
-          if (in1) y(t.row1, k) += s * r(t.col1, k);
-          if (in2) y(t.row2, k) -= s * r(t.col1, k);
-        }
-      }
-    }
-  });
+// ---- packed r x r blocks --------------------------------------------
+// A symmetric block is stored as its lower triangle, row-packed: row a
+// holds entries (a, 0..a) at offset a (a + 1) / 2.  After factor_packed
+// the same storage holds the lower Cholesky factor F (block = F F^T).
+
+std::size_t packed_size(std::size_t r) { return r * (r + 1) / 2; }
+
+/// blk += w u u^T.
+void add_outer_packed(double* blk, const double* u, double w, std::size_t r) {
+  for (std::size_t a = 0; a < r; ++a) {
+    double* row = blk + a * (a + 1) / 2;
+    const double wa = w * u[a];
+    for (std::size_t b = 0; b <= a; ++b) row[b] += wa * u[b];
+  }
 }
 
-/// R-step counterpart: lanes own ranges of y's rows (grids).
-void accumulate_pairwise_r(const LoliIrProblem& p, const LoliIrConfig& c, const Matrix& l,
-                           const Matrix& rw, Matrix& y) {
-  const bool has_cont = c.continuity_weight > 0.0 && !p.continuity.empty();
-  const bool has_sim = c.similarity_weight > 0.0 && !p.similarity.empty();
-  if (!has_cont && !has_sim) return;
-  const std::size_t rank = rw.cols();
-  const std::size_t grain =
-      pairwise_grain(y.rows(), p.continuity.size() + p.similarity.size(), rank);
-  ThreadPool::global().parallel_for(0, y.rows(), grain, [&](std::size_t g0, std::size_t g1) {
-    if (has_cont) {
-      for (const PairwiseTerm& t : p.continuity) {
-        const bool in1 = t.col1 >= g0 && t.col1 < g1;
-        const bool in2 = t.col2 >= g0 && t.col2 < g1;
-        if (!in1 && !in2) continue;
-        double s = 0.0;
-        for (std::size_t k = 0; k < rank; ++k)
-          s += l(t.row1, k) * (rw(t.col1, k) - rw(t.col2, k));
-        s *= c.continuity_weight;
-        for (std::size_t k = 0; k < rank; ++k) {
-          if (in1) y(t.col1, k) += s * l(t.row1, k);
-          if (in2) y(t.col2, k) -= s * l(t.row1, k);
-        }
-      }
+/// blk += w (u - v)(u - v)^T.
+void add_outer_diff_packed(double* blk, const double* u, const double* v, double w,
+                           std::size_t r) {
+  for (std::size_t a = 0; a < r; ++a) {
+    double* row = blk + a * (a + 1) / 2;
+    const double wa = w * (u[a] - v[a]);
+    for (std::size_t b = 0; b <= a; ++b) row[b] += wa * (u[b] - v[b]);
+  }
+}
+
+/// blk += w g (both packed).
+void add_packed(double* blk, const double* g, double w, std::size_t r) {
+  const std::size_t t = packed_size(r);
+  for (std::size_t e = 0; e < t; ++e) blk[e] += w * g[e];
+}
+
+/// out = sum of f_u f_u^T over the rows u of `f` (all of them when
+/// `keep` is null, else those with keep[u] != 0), packed.
+void packed_gram(const Matrix& f, const std::uint8_t* keep, double* out) {
+  std::fill(out, out + packed_size(f.cols()), 0.0);
+  for (std::size_t u = 0; u < f.rows(); ++u)
+    if (keep == nullptr || keep[u] != 0) add_outer_packed(out, f.row_span(u).data(), 1.0, f.cols());
+}
+
+/// Row u of `out` = packed f_u f_u^T for each row f_u of `f`, so that
+/// the data-term blocks sum_j B_uj f_j f_j^T for all u come out of one
+/// (zero-skipping) matrix product with the mask.
+void pack_outer_rows(const Matrix& f, MatrixView out) {
+  for (std::size_t u = 0; u < f.rows(); ++u) {
+    double* row = out.row_ptr(u);
+    std::fill(row, row + out.cols(), 0.0);
+    add_outer_packed(row, f.row_span(u).data(), 1.0, f.cols());
+  }
+}
+
+/// In-place Cholesky: packed SPD block -> packed lower factor F.  Every
+/// block carries lambda I with lambda > 0, so pivots stay positive.
+void factor_packed(double* blk, std::size_t r) {
+  for (std::size_t i = 0; i < r; ++i) {
+    double* fi = blk + i * (i + 1) / 2;
+    for (std::size_t j = 0; j <= i; ++j) {
+      const double* fj = blk + j * (j + 1) / 2;
+      double s = fi[j];
+      for (std::size_t k = 0; k < j; ++k) s -= fi[k] * fj[k];
+      fi[j] = i == j ? std::sqrt(s) : s / fj[j];
     }
-    if (has_sim) {
-      for (const PairwiseTerm& t : p.similarity) {
-        if (t.col1 < g0 || t.col1 >= g1) continue;
-        double s = 0.0;
-        for (std::size_t k = 0; k < rank; ++k)
-          s += (l(t.row1, k) - l(t.row2, k)) * rw(t.col1, k);
-        s *= c.similarity_weight;
-        for (std::size_t k = 0; k < rank; ++k)
-          y(t.col1, k) += s * (l(t.row1, k) - l(t.row2, k));
-      }
+  }
+}
+
+/// y = F F^T v for a packed factor F.
+void apply_factored(const double* f, const double* v, double* y, std::size_t r) {
+  std::fill(y, y + r, 0.0);
+  for (std::size_t i = 0; i < r; ++i) {  // y = F^T v, by rows of F
+    const double* fi = f + i * (i + 1) / 2;
+    for (std::size_t k = 0; k <= i; ++k) y[k] += fi[k] * v[i];
+  }
+  for (std::size_t ii = r; ii > 0; --ii) {  // y = F y, bottom-up in place
+    const std::size_t i = ii - 1;
+    const double* fi = f + i * (i + 1) / 2;
+    double s = 0.0;
+    for (std::size_t k = 0; k <= i; ++k) s += fi[k] * y[k];
+    y[i] = s;
+  }
+}
+
+/// z <- (F F^T)^-1 z for a packed factor F.
+void solve_factored(const double* f, double* z, std::size_t r) {
+  for (std::size_t i = 0; i < r; ++i) {  // F y = z
+    const double* fi = f + i * (i + 1) / 2;
+    double s = z[i];
+    for (std::size_t k = 0; k < i; ++k) s -= fi[k] * z[k];
+    z[i] = s / fi[i];
+  }
+  for (std::size_t ii = r; ii > 0; --ii) {  // F^T x = y
+    const std::size_t i = ii - 1;
+    const double* fi = f + i * (i + 1) / 2;
+    z[i] /= fi[i];
+    for (std::size_t k = 0; k < i; ++k) z[k] -= fi[k] * z[i];
+  }
+}
+
+/// y -= S v for a packed symmetric S.
+void subtract_sym_packed(const double* s, const double* v, double* y, std::size_t r) {
+  for (std::size_t a = 0; a < r; ++a) {
+    const double* row = s + a * (a + 1) / 2;
+    for (std::size_t b = 0; b < a; ++b) {
+      y[a] -= row[b] * v[b];
+      y[b] -= row[b] * v[a];
     }
+    y[a] -= row[a] * v[a];
+  }
+}
+
+/// Pair-term incidence grouped by the block row each entry lands in: a
+/// CSR layout (row u owns items[start[u] .. start[u+1]-1], each a term
+/// or link-pair index), filled in term order so every block sums its
+/// contributions in one fixed order.  Built once per solve.
+struct Incidence {
+  std::vector<std::size_t> start;
+  std::vector<std::uint32_t> items;
+};
+
+/// `each(emit)` must call emit(row, item) for every entry, identically
+/// on both passes.
+template <class Each>
+Incidence build_incidence(std::size_t rows, const Each& each) {
+  Incidence inc;
+  inc.start.assign(rows + 1, 0);
+  each([&](std::size_t row, std::size_t) { ++inc.start[row + 1]; });
+  for (std::size_t u = 0; u < rows; ++u) inc.start[u + 1] += inc.start[u];
+  inc.items.resize(inc.start[rows]);
+  std::vector<std::size_t> next(inc.start.begin(), inc.start.end() - 1);
+  each([&](std::size_t row, std::size_t item) {
+    inc.items[next[row]++] = static_cast<std::uint32_t>(item);
   });
+  return inc;
+}
+
+/// The pair terms regrouped for block assembly.  Continuity pairs share
+/// a link (row1 == row2); similarity pairs share a grid (col1 == col2).
+///  - L-step: a continuity pair is local to its link's block; the
+///    similarity pairs of one adjacent link pair sum into one coupling
+///    block S_q = delta sum_c r_c r_c^T, which enters both links'
+///    diagonal blocks and couples them with -S_q.
+///  - R-step: a similarity pair is local to its grid's block; a
+///    continuity pair adds gamma l_i l_i^T to both grids' blocks and
+///    couples them with -gamma l_i l_i^T, applied pairwise.
+struct PairStructure {
+  Incidence cont_by_link;  ///< link -> its continuity terms.
+  Incidence cont_by_grid;  ///< grid -> continuity terms touching it.
+  Incidence sim_by_grid;   ///< grid -> its similarity terms.
+  Incidence sim_by_pair;   ///< link pair -> its similarity terms.
+  Incidence pairs_by_link; ///< link -> link pairs containing it.
+  std::vector<std::pair<std::size_t, std::size_t>> link_pairs;  ///< (lo, hi) links.
+
+  /// The link paired with `link` in link pair q.
+  std::size_t partner(std::size_t q, std::size_t link) const {
+    return link_pairs[q].first == link ? link_pairs[q].second : link_pairs[q].first;
+  }
+};
+
+/// The grid paired with `grid` in a continuity term.
+std::size_t partner(const PairwiseTerm& t, std::size_t grid) {
+  return t.col1 == grid ? t.col2 : t.col1;
+}
+
+PairStructure build_pair_structure(const LoliIrProblem& p, bool has_cont, bool has_sim) {
+  const std::size_t m = p.known.rows();
+  const std::size_t n = p.known.cols();
+  PairStructure ps;
+  if (has_cont) {
+    ps.cont_by_link = build_incidence(m, [&](const auto& emit) {
+      for (std::size_t t = 0; t < p.continuity.size(); ++t) emit(p.continuity[t].row1, t);
+    });
+    ps.cont_by_grid = build_incidence(n, [&](const auto& emit) {
+      for (std::size_t t = 0; t < p.continuity.size(); ++t) {
+        emit(p.continuity[t].col1, t);
+        emit(p.continuity[t].col2, t);
+      }
+    });
+  }
+  if (has_sim) {
+    // Link pairs numbered in order of first appearance.
+    std::map<std::pair<std::size_t, std::size_t>, std::size_t> index;
+    std::vector<std::uint32_t> pair_of(p.similarity.size());
+    for (std::size_t t = 0; t < p.similarity.size(); ++t) {
+      const auto key = std::minmax(p.similarity[t].row1, p.similarity[t].row2);
+      const auto [it, fresh] = index.emplace(key, ps.link_pairs.size());
+      if (fresh) ps.link_pairs.push_back(key);
+      pair_of[t] = static_cast<std::uint32_t>(it->second);
+    }
+    ps.sim_by_pair = build_incidence(ps.link_pairs.size(), [&](const auto& emit) {
+      for (std::size_t t = 0; t < p.similarity.size(); ++t) emit(pair_of[t], t);
+    });
+    ps.pairs_by_link = build_incidence(m, [&](const auto& emit) {
+      for (std::size_t q = 0; q < ps.link_pairs.size(); ++q) {
+        emit(ps.link_pairs[q].first, q);
+        emit(ps.link_pairs[q].second, q);
+      }
+    });
+    ps.sim_by_grid = build_incidence(n, [&](const auto& emit) {
+      for (std::size_t t = 0; t < p.similarity.size(); ++t) emit(p.similarity[t].col1, t);
+    });
+  }
+  return ps;
 }
 
 /// Objective evaluated against a precomputed X = L R^T (so the solver's
@@ -260,30 +390,38 @@ LoliIrResult loli_ir_reconstruct(const LoliIrProblem& p, const LoliIrConfig& c) 
   const std::uint8_t* obs = observed_rows(p);
 
   // ---- initialization: truncated SVD of the patched prediction ----
-  const Matrix x0 = initial_estimate(p, obs);
-  SvdResult svd;
-  {
-    ScopedSpan svd_span(c.telemetry, "recon.loli_ir.init_svd_seconds");
-    svd = svd_decompose(x0);
-  }
+  // (scoped: the SVD and its input are released before the solve's
+  // buffers are leased)
   std::size_t rank = c.rank;
-  if (rank == 0) rank = std::max<std::size_t>(svd.numeric_rank(1e-3), 1);
-  rank = std::min({rank, c.max_rank, m, n});
+  Matrix l;
+  Matrix r;
+  {
+    const Matrix x0 = initial_estimate(p, obs);
+    SvdResult svd;
+    {
+      ScopedSpan svd_span(c.telemetry, "recon.loli_ir.init_svd_seconds");
+      svd = svd_decompose(x0);
+    }
+    if (rank == 0) rank = std::max<std::size_t>(svd.numeric_rank(1e-3), 1);
+    rank = std::min({rank, c.max_rank, m, n});
 
-  Matrix l(m, rank);
-  Matrix r(n, rank);
-  for (std::size_t t = 0; t < rank; ++t) {
-    const double root = std::sqrt(std::max(svd.sigma[t], 1e-12));
-    for (std::size_t i = 0; i < m; ++i) l(i, t) = svd.u(i, t) * root;
-    for (std::size_t j = 0; j < n; ++j) r(j, t) = svd.v(j, t) * root;
+    l = Matrix(m, rank);
+    r = Matrix(n, rank);
+    for (std::size_t t = 0; t < rank; ++t) {
+      const double root = std::sqrt(std::max(svd.sigma[t], 1e-12));
+      for (std::size_t i = 0; i < m; ++i) l(i, t) = svd.u(i, t) * root;
+      for (std::size_t j = 0; j < n; ++j) r(j, t) = svd.v(j, t) * root;
+    }
   }
 
   // ---- workspace: every per-iteration temporary is leased once here
   // and reused across all outer iterations and CG matvecs; the arena
   // counter proves the steady-state loop performs no heap allocation.
   Workspace ws(c.telemetry);
-  auto known_masked_lease = ws.matrix(m, n);  // B o X_I
-  Matrix& known_masked = *known_masked_lease;
+  // The data and LRR terms' joint right-hand-side matrix
+  // w_d (B o X_I) + mu X_R Z, fixed for the whole solve.
+  auto target_lease = ws.matrix(m, n);
+  Matrix& target = *target_lease;
   // Effective data mask and reference anchors: with unobserved rows the
   // solver reads row-zeroed copies, so dead-link measurements drop out
   // of every term below without touching the caller's problem.
@@ -292,7 +430,7 @@ LoliIrResult loli_ir_reconstruct(const LoliIrProblem& p, const LoliIrConfig& c) 
   const Matrix* bmask = &p.mask_undistorted;
   const Matrix* ref_cols = &p.reference_columns;
   if (obs == nullptr) {
-    hadamard_into(p.mask_undistorted, p.known, known_masked);
+    hadamard_into(p.mask_undistorted, p.known, target);
   } else {
     bmask_lease.emplace(ws.matrix(m, n));
     Matrix& bm = **bmask_lease;
@@ -301,7 +439,7 @@ LoliIrResult loli_ir_reconstruct(const LoliIrProblem& p, const LoliIrConfig& c) 
         bm(i, j) = obs[i] != 0 ? p.mask_undistorted(i, j) : 0.0;
         // Explicit select, not a Hadamard product: `known` may carry
         // NaN on dead rows, and 0 * NaN would poison the RHS.
-        known_masked(i, j) = bm(i, j) == 1.0 ? p.known(i, j) : 0.0;
+        target(i, j) = bm(i, j) == 1.0 ? p.known(i, j) : 0.0;
       }
     bmask = &bm;
     if (nref > 0) {
@@ -313,136 +451,219 @@ LoliIrResult loli_ir_reconstruct(const LoliIrProblem& p, const LoliIrConfig& c) 
       ref_cols = &re;
     }
   }
+  for (std::size_t e = 0; e < target.size(); ++e) {
+    const double data = c.data_weight > 0.0 ? c.data_weight * target.data()[e] : 0.0;
+    target.data()[e] = data + c.lrr_weight * p.prediction.data()[e];
+  }
 
-  auto lw_lease = ws.matrix(m, rank);   // CG iterate, reshaped (L-step)
-  auto yl_lease = ws.matrix(m, rank);   // L-step matvec output
-  auto rw_lease = ws.matrix(n, rank);   // CG iterate, reshaped (R-step)
-  auto yr_lease = ws.matrix(n, rank);   // R-step matvec output
-  auto xw_lease = ws.matrix(m, n);      // current L R^T inside matvecs
-  auto w_lease = ws.matrix(m, n);       // B o (L R^T)
   auto tmp_l_lease = ws.matrix(m, rank);
-  auto tmp_r_lease = ws.matrix(n, rank);
-  auto rtr_lease = ws.matrix(rank, rank);
-  auto ltl_lease = ws.matrix(rank, rank);
   auto rhs_l_lease = ws.matrix(m, rank);
   auto rhs_r_lease = ws.matrix(n, rank);
   auto x_now_lease = ws.matrix(m, n);
   auto x_prev_lease = ws.matrix(m, n);
   std::optional<Workspace::MatrixLease> r_ref_lease;
-  std::optional<Workspace::MatrixLease> x_ref_lease;
-  if (nref > 0) {
-    r_ref_lease.emplace(ws.matrix(nref, rank));
-    x_ref_lease.emplace(ws.matrix(m, nref));
-  }
-  Matrix& lw = *lw_lease;
-  Matrix& yl = *yl_lease;
-  Matrix& rw = *rw_lease;
-  Matrix& yr = *yr_lease;
-  Matrix& xw = *xw_lease;
-  Matrix& w = *w_lease;
+  if (nref > 0) r_ref_lease.emplace(ws.matrix(nref, rank));
   Matrix& tmp_l = *tmp_l_lease;
-  Matrix& tmp_r = *tmp_r_lease;
-  Matrix& rtr = *rtr_lease;
-  Matrix& ltl = *ltl_lease;
   Matrix& rhs_l = *rhs_l_lease;
   Matrix& rhs_r = *rhs_r_lease;
   Matrix& x_now = *x_now_lease;
   Matrix& x_prev = *x_prev_lease;
-  CgScratch cg_scratch;  // capacity settles after the first iteration
+
+  // ---- block operators: each half-step's normal operator is one r x r
+  // block per unknown row (link in the L-step, grid in the R-step) plus
+  // pairwise couplings.  The diagonal blocks are assembled once per
+  // half-step and factored in place; the one buffer serves both steps.
+  const bool has_data = c.data_weight > 0.0;
+  const bool has_lrr = c.lrr_weight > 0.0;
+  const bool has_ref = c.reference_weight > 0.0 && nref > 0;
+  const bool has_cont = c.continuity_weight > 0.0 && !p.continuity.empty();
+  const bool has_sim = c.similarity_weight > 0.0 && !p.similarity.empty();
+  const PairStructure ps = build_pair_structure(p, has_cont, has_sim);
+  std::vector<std::size_t> ref_count(n, 0);
+  for (std::size_t g : p.reference_indices) ++ref_count[g];
+
+  const std::size_t tri = packed_size(rank);
+  const std::size_t rows_max = std::max(m, n);
+  // Diagonal blocks of the current half-step in the leading rows, the
+  // packed factor outer products of the data term after them.
+  auto blocks_lease = ws.vector((m + n) * tri);
+  auto coupling_lease = ws.vector(std::max<std::size_t>(ps.link_pairs.size(), 1) * tri);
+  auto gram_lease = ws.vector(tri);      // packed R^T R or L^T L
+  auto ref_gram_lease = ws.vector(tri);  // packed reference-anchor Gram
+  double* const blocks = (*blocks_lease).data();
+  double* const coupling = (*coupling_lease).data();
+  double* const gram = (*gram_lease).data();
+  double* const ref_gram = (*ref_gram_lease).data();
+  const auto block_rows = [&](std::size_t first, std::size_t count) {
+    return MatrixView(blocks + first * tri, count, tri, tri);
+  };
+  auto cg_r_lease = ws.vector(rows_max * rank);
+  auto cg_p_lease = ws.vector(rows_max * rank);
+  auto cg_ap_lease = ws.vector(rows_max * rank);
+  auto cg_z_lease = ws.vector(rows_max * rank);
+  const CgScratch cg_scratch{*cg_r_lease, *cg_p_lease, *cg_ap_lease, *cg_z_lease};
+
+  ThreadPool& pool = ThreadPool::global();
+  // Per block: scale, add the shared Grams and pair terms, factor.
+  const std::size_t link_grain = block_grain(m, tri * (rank + 2));
+  const std::size_t grid_grain = block_grain(n, tri * (rank + 2));
+  const std::size_t pair_grain = block_grain(
+      ps.link_pairs.size(),
+      tri * (p.similarity.size() / std::max<std::size_t>(ps.link_pairs.size(), 1) + 1));
+  const std::size_t link_apply_grain = block_grain(m, tri * 2);
+  const std::size_t grid_apply_grain = block_grain(n, tri * 2);
+
+  // L-step blocks: D_i = lambda I + w_d sum_j B_ij r_j r_j^T + mu R^T R
+  //   + nu [i observed] sum_k r_ref_k r_ref_k^T + gamma sum d d^T (its
+  //   continuity pairs, d = r_col1 - r_col2) + the S_q of its link pairs.
+  const auto assemble_l = [&] {
+    packed_gram(r, nullptr, gram);
+    if (has_ref) {
+      std::fill(ref_gram, ref_gram + tri, 0.0);
+      for (std::size_t g : p.reference_indices)
+        add_outer_packed(ref_gram, r.row_span(g).data(), 1.0, rank);
+    }
+    pool.parallel_for(0, ps.link_pairs.size(), pair_grain, [&](std::size_t q0, std::size_t q1) {
+      for (std::size_t q = q0; q < q1; ++q) {
+        double* s_q = coupling + q * tri;
+        std::fill(s_q, s_q + tri, 0.0);
+        for (std::size_t e = ps.sim_by_pair.start[q]; e < ps.sim_by_pair.start[q + 1]; ++e)
+          add_outer_packed(s_q, r.row_span(p.similarity[ps.sim_by_pair.items[e]].col1).data(),
+                           c.similarity_weight, rank);
+      }
+    });
+    if (has_data) {
+      pack_outer_rows(r, block_rows(m, n));
+      multiply_into(*bmask, block_rows(m, n), block_rows(0, m));
+    }
+    pool.parallel_for(0, m, link_grain, [&](std::size_t i0, std::size_t i1) {
+      for (std::size_t i = i0; i < i1; ++i) {
+        double* d = blocks + i * tri;
+        if (has_data) {
+          for (std::size_t e = 0; e < tri; ++e) d[e] *= c.data_weight;
+        } else {
+          std::fill(d, d + tri, 0.0);
+        }
+        if (has_lrr) add_packed(d, gram, c.lrr_weight, rank);
+        if (has_ref && (obs == nullptr || obs[i] != 0))
+          add_packed(d, ref_gram, c.reference_weight, rank);
+        if (has_cont)
+          for (std::size_t e = ps.cont_by_link.start[i]; e < ps.cont_by_link.start[i + 1]; ++e) {
+            const PairwiseTerm& t = p.continuity[ps.cont_by_link.items[e]];
+            add_outer_diff_packed(d, r.row_span(t.col1).data(), r.row_span(t.col2).data(),
+                                  c.continuity_weight, rank);
+          }
+        if (has_sim)
+          for (std::size_t e = ps.pairs_by_link.start[i]; e < ps.pairs_by_link.start[i + 1]; ++e)
+            add_packed(d, coupling + ps.pairs_by_link.items[e] * tri, 1.0, rank);
+        for (std::size_t a = 0; a < rank; ++a) d[a * (a + 3) / 2] += c.lambda;
+        factor_packed(d, rank);
+      }
+    });
+  };
+
+  // R-step blocks: D_j = lambda I + w_d sum_i B_ij l_i l_i^T + mu L^T L
+  //   + nu (times grid j is a reference) sum_{i observed} l_i l_i^T
+  //   + delta sum (l_row1 - l_row2)(.)^T (its similarity pairs)
+  //   + gamma sum l_i l_i^T (each continuity pair touching grid j).
+  const auto assemble_r = [&] {
+    packed_gram(l, nullptr, gram);
+    if (has_ref) packed_gram(l, obs, ref_gram);
+    if (has_data) {
+      pack_outer_rows(l, block_rows(n, m));
+      gram_product_into(*bmask, block_rows(n, m), block_rows(0, n));
+    }
+    pool.parallel_for(0, n, grid_grain, [&](std::size_t j0, std::size_t j1) {
+      for (std::size_t j = j0; j < j1; ++j) {
+        double* d = blocks + j * tri;
+        if (has_data) {
+          for (std::size_t e = 0; e < tri; ++e) d[e] *= c.data_weight;
+        } else {
+          std::fill(d, d + tri, 0.0);
+        }
+        if (has_lrr) add_packed(d, gram, c.lrr_weight, rank);
+        if (has_ref && ref_count[j] > 0)
+          add_packed(d, ref_gram, c.reference_weight * static_cast<double>(ref_count[j]), rank);
+        if (has_sim)
+          for (std::size_t e = ps.sim_by_grid.start[j]; e < ps.sim_by_grid.start[j + 1]; ++e) {
+            const PairwiseTerm& t = p.similarity[ps.sim_by_grid.items[e]];
+            add_outer_diff_packed(d, l.row_span(t.row1).data(), l.row_span(t.row2).data(),
+                                  c.similarity_weight, rank);
+          }
+        if (has_cont)
+          for (std::size_t e = ps.cont_by_grid.start[j]; e < ps.cont_by_grid.start[j + 1]; ++e)
+            add_outer_packed(d, l.row_span(p.continuity[ps.cont_by_grid.items[e]].row1).data(),
+                             c.continuity_weight, rank);
+        for (std::size_t a = 0; a < rank; ++a) d[a * (a + 3) / 2] += c.lambda;
+        factor_packed(d, rank);
+      }
+    });
+  };
+
+  // Matvecs: y_u = F_u F_u^T v_u minus the couplings.  L-step: -S_q v_b
+  // per adjacent link b.  R-step: -gamma l_i (l_i . v_k) per continuity
+  // neighbour grid k along link i.  Both capture only stable references,
+  // so one std::function apiece serves every outer iteration.
+  const LinearOperatorInto apply_l = [&](std::span<const double> v, std::span<double> y) {
+    pool.parallel_for(0, m, link_apply_grain, [&](std::size_t i0, std::size_t i1) {
+      for (std::size_t i = i0; i < i1; ++i) {
+        double* yi = y.data() + i * rank;
+        apply_factored(blocks + i * tri, v.data() + i * rank, yi, rank);
+        if (has_sim)
+          for (std::size_t e = ps.pairs_by_link.start[i]; e < ps.pairs_by_link.start[i + 1]; ++e) {
+            const std::size_t q = ps.pairs_by_link.items[e];
+            subtract_sym_packed(coupling + q * tri, v.data() + ps.partner(q, i) * rank, yi, rank);
+          }
+      }
+    });
+  };
+  const LinearOperatorInto apply_r = [&](std::span<const double> v, std::span<double> y) {
+    pool.parallel_for(0, n, grid_apply_grain, [&](std::size_t j0, std::size_t j1) {
+      for (std::size_t j = j0; j < j1; ++j) {
+        double* yj = y.data() + j * rank;
+        apply_factored(blocks + j * tri, v.data() + j * rank, yj, rank);
+        if (has_cont)
+          for (std::size_t e = ps.cont_by_grid.start[j]; e < ps.cont_by_grid.start[j + 1]; ++e) {
+            const PairwiseTerm& t = p.continuity[ps.cont_by_grid.items[e]];
+            const double* li = l.row_span(t.row1).data();
+            const double* vk = v.data() + partner(t, j) * rank;
+            double s = 0.0;
+            for (std::size_t k = 0; k < rank; ++k) s += li[k] * vk[k];
+            s *= c.continuity_weight;
+            for (std::size_t k = 0; k < rank; ++k) yj[k] -= s * li[k];
+          }
+      }
+    });
+  };
+  // Block-Jacobi preconditioner: z_u = D_u^-1 r_u from the factors.
+  const auto block_jacobi = [&](std::size_t rows, std::size_t grain) {
+    return LinearOperatorInto([&, rows, grain](std::span<const double> res, std::span<double> z) {
+      pool.parallel_for(0, rows, grain, [&](std::size_t u0, std::size_t u1) {
+        std::copy(res.begin() + u0 * rank, res.begin() + u1 * rank, z.begin() + u0 * rank);
+        for (std::size_t u = u0; u < u1; ++u)
+          solve_factored(blocks + u * tri, z.data() + u * rank, rank);
+      });
+    });
+  };
+  const LinearOperatorInto precondition_l = block_jacobi(m, link_apply_grain);
+  const LinearOperatorInto precondition_r = block_jacobi(n, grid_apply_grain);
 
   LoliIrResult out;
   outer_product_into(l, r, x_prev);
-
-  // Both CG operators capture only stable references (lease-backed
-  // buffers and the factors), so one std::function apiece serves every
-  // outer iteration -- the loop body itself never heap-allocates.
-  const LinearOperatorInto apply_l = [&](std::span<const double> v, std::span<double> y_out) {
-    std::copy(v.begin(), v.end(), lw.data().begin());
-    for (std::size_t i = 0; i < yl.size(); ++i)
-      yl.data()[i] = lw.data()[i] * c.lambda;
-    outer_product_into(lw, r, xw);
-    if (c.data_weight > 0.0) {
-      hadamard_into(*bmask, xw, w);
-      multiply_into(w, r, tmp_l);
-      add_scaled_into(tmp_l, c.data_weight, yl);
-    }
-    if (c.lrr_weight > 0.0) {
-      multiply_into(lw, rtr, tmp_l);
-      add_scaled_into(tmp_l, c.lrr_weight, yl);
-    }
-    if (c.reference_weight > 0.0 && nref > 0) {
-      Matrix& r_ref = **r_ref_lease;
-      Matrix& x_ref = **x_ref_lease;
-      outer_product_into(lw, r_ref, x_ref);  // m x nref
-      if (obs != nullptr) {
-        // Unobserved rows contribute nothing to the reference normal
-        // operator (matching their zeroed RHS).
-        for (std::size_t i = 0; i < m; ++i)
-          if (obs[i] == 0)
-            for (std::size_t kk = 0; kk < nref; ++kk) x_ref(i, kk) = 0.0;
-      }
-      multiply_into(x_ref, r_ref, tmp_l);
-      add_scaled_into(tmp_l, c.reference_weight, yl);
-    }
-    accumulate_pairwise_l(p, c, lw, r, yl);
-    std::copy(yl.data().begin(), yl.data().end(), y_out.begin());
-  };
-  const LinearOperatorInto apply_r = [&](std::span<const double> v, std::span<double> y_out) {
-    std::copy(v.begin(), v.end(), rw.data().begin());
-    for (std::size_t i = 0; i < yr.size(); ++i)
-      yr.data()[i] = rw.data()[i] * c.lambda;
-    outer_product_into(l, rw, xw);  // m x n
-    if (c.data_weight > 0.0) {
-      hadamard_into(*bmask, xw, w);
-      gram_product_into(w, l, tmp_r);  // W^T L
-      add_scaled_into(tmp_r, c.data_weight, yr);
-    }
-    if (c.lrr_weight > 0.0) {
-      multiply_into(rw, ltl, tmp_r);
-      add_scaled_into(tmp_r, c.lrr_weight, yr);
-    }
-    if (c.reference_weight > 0.0) {
-      for (std::size_t k = 0; k < nref; ++k) {
-        const std::size_t g = p.reference_indices[k];
-        // contribution nu * L^T (L R_g^T) to row g of the normal matvec
-        for (std::size_t t = 0; t < rank; ++t) {
-          double acc = 0.0;
-          if (obs == nullptr) {
-            for (std::size_t i = 0; i < m; ++i) acc += l(i, t) * xw(i, g);
-          } else {
-            for (std::size_t i = 0; i < m; ++i)
-              if (obs[i] != 0) acc += l(i, t) * xw(i, g);
-          }
-          yr(g, t) += c.reference_weight * acc;
-        }
-      }
-    }
-    accumulate_pairwise_r(p, c, l, rw, yr);
-    std::copy(yr.data().begin(), yr.data().end(), y_out.begin());
-  };
-
   std::size_t warmup_allocations = ws.allocations();
 
   for (std::size_t outer = 0; outer < c.max_outer_iterations; ++outer) {
     // ================= L-step: fix R, solve for L =================
     {
-      gram_product_into(r, r, rtr);  // rank x rank
       if (nref > 0) {
         Matrix& r_ref = **r_ref_lease;
         for (std::size_t k = 0; k < nref; ++k)
           r_ref.set_row(k, r.row_span(p.reference_indices[k]));
       }
+      assemble_l();
 
-      rhs_l.fill(0.0);
-      if (c.data_weight > 0.0) {
-        multiply_into(known_masked, r, tmp_l);
-        add_scaled_into(tmp_l, c.data_weight, rhs_l);
-      }
-      if (c.lrr_weight > 0.0) {
-        multiply_into(p.prediction, r, tmp_l);
-        add_scaled_into(tmp_l, c.lrr_weight, rhs_l);
-      }
-      if (c.reference_weight > 0.0 && nref > 0) {
+      multiply_into(target, r, rhs_l);
+      if (has_ref) {
         multiply_into(*ref_cols, **r_ref_lease, tmp_l);
         add_scaled_into(tmp_l, c.reference_weight, rhs_l);
       }
@@ -471,24 +692,16 @@ LoliIrResult loli_ir_reconstruct(const LoliIrProblem& p, const LoliIrConfig& c) 
       }
 
       const CgSummary cg = conjugate_gradient_in_place(apply_l, rhs_l.data(), l.data(),
-                                                       cg_scratch, c.cg);
+                                                       cg_scratch, c.cg, precondition_l);
       if (tel_cg_iters != nullptr) tel_cg_iters->add(cg.iterations);
     }
 
     // ================= R-step: fix L, solve for R =================
     {
-      gram_product_into(l, l, ltl);  // rank x rank
+      assemble_r();
 
-      rhs_r.fill(0.0);
-      if (c.data_weight > 0.0) {
-        gram_product_into(known_masked, l, tmp_r);
-        add_scaled_into(tmp_r, c.data_weight, rhs_r);
-      }
-      if (c.lrr_weight > 0.0) {
-        gram_product_into(p.prediction, l, tmp_r);
-        add_scaled_into(tmp_r, c.lrr_weight, rhs_r);
-      }
-      if (c.reference_weight > 0.0) {
+      gram_product_into(target, l, rhs_r);
+      if (has_ref) {
         for (std::size_t k = 0; k < nref; ++k) {
           const std::size_t g = p.reference_indices[k];
           for (std::size_t t = 0; t < rank; ++t) {
@@ -520,7 +733,7 @@ LoliIrResult loli_ir_reconstruct(const LoliIrProblem& p, const LoliIrConfig& c) 
       }
 
       const CgSummary cg = conjugate_gradient_in_place(apply_r, rhs_r.data(), r.data(),
-                                                       cg_scratch, c.cg);
+                                                       cg_scratch, c.cg, precondition_r);
       if (tel_cg_iters != nullptr) tel_cg_iters->add(cg.iterations);
     }
 

@@ -338,21 +338,23 @@ class RawClient {
   }
 
   /// Blocking read until one whole frame (or peer close -> kEof).
+  /// Bytes past that frame stay in buffer_ for the next call: two
+  /// replies can arrive in one read.
   bool recv_frame(storage::Frame& out) {
-    std::string buffer;
     char chunk[4096];
     while (true) {
-      ExtractResult r = extract_packet(buffer, out);
+      ExtractResult r = extract_packet(buffer_, out);
       if (r == ExtractResult::kPacket) return true;
       if (r == ExtractResult::kCorrupt) return false;
       const ssize_t n = ::read(fd_, chunk, sizeof chunk);
       if (n <= 0) return false;
-      buffer.append(chunk, static_cast<std::size_t>(n));
+      buffer_.append(chunk, static_cast<std::size_t>(n));
     }
   }
 
  private:
   int fd_ = -1;
+  std::string buffer_;
 };
 
 TEST(ControlServerSocket, ServesFramesAndSurvivesGarbage) {

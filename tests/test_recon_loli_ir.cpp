@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+
 #include "tafloc/fingerprint/distortion.h"
 #include "tafloc/fingerprint/reference.h"
 #include "tafloc/recon/error.h"
@@ -226,6 +230,108 @@ TEST_P(LoliIrTimeSweep, ErrorBoundedAtAllElapsedTimes) {
 
 INSTANTIATE_TEST_SUITE_P(ElapsedDays, LoliIrTimeSweep,
                          ::testing::Values(3.0, 5.0, 15.0, 45.0, 90.0));
+
+// Stationarity of both half-steps.  The gradients are taken by central
+// differences of loli_ir_objective, which evaluates every term
+// directly; the solver's block operators are assembled separately.  A
+// term missing from (or mis-weighted in) the blocks leaves a gradient
+// of the order of the objective itself.
+struct StationarityCase {
+  const char* name;
+  void (*edit)(LoliIrProblem&, LoliIrConfig&);
+};
+
+/// Largest central-difference partial derivative of the objective with
+/// respect to the entries of R (wrt_r) or of L.  The objective is
+/// quadratic in each entry, so the differences are exact up to rounding.
+double max_partial(const LoliIrProblem& problem, const LoliIrConfig& cfg, Matrix l, Matrix r,
+                   bool wrt_r) {
+  const double h = 1e-3;
+  double out = 0.0;
+  for (double& v : (wrt_r ? r : l).data()) {
+    const double saved = v;
+    v = saved + h;
+    const double up = loli_ir_objective(problem, cfg, l, r);
+    v = saved - h;
+    const double down = loli_ir_objective(problem, cfg, l, r);
+    v = saved;
+    out = std::max(out, std::abs(up - down) / (2.0 * h));
+  }
+  return out;
+}
+
+class LoliIrStationarity : public ::testing::TestWithParam<StationarityCase> {
+ protected:
+  void SetUp() override {
+    problem = Workbench(16, 45.0).problem;
+    cfg.cg = CgOptions{1e-12, 2000};
+    GetParam().edit(problem, cfg);
+  }
+  LoliIrProblem problem;
+  LoliIrConfig cfg;
+};
+
+TEST_P(LoliIrStationarity, GradientWithRespectToRVanishesAtResult) {
+  // The solver ends on an R-step.
+  const LoliIrResult res = loli_ir_reconstruct(problem, cfg);
+  ASSERT_TRUE(res.converged);
+  const double f = loli_ir_objective(problem, cfg, res.l, res.r);
+  ASSERT_GT(f, 0.0);
+  EXPECT_LT(max_partial(problem, cfg, res.l, res.r, true), 1e-6 * f) << "objective " << f;
+}
+
+TEST_P(LoliIrStationarity, GradientWithRespectToLVanishesAfterLStep) {
+  // Outer iteration 2's L-step minimizes over L with iteration 1's R
+  // fixed.  The solver is deterministic, so a one-iteration run
+  // reproduces that R.
+  cfg.outer_tolerance = 1e-300;  // never stop early
+  cfg.max_outer_iterations = 1;
+  const Matrix r1 = loli_ir_reconstruct(problem, cfg).r;
+  cfg.max_outer_iterations = 2;
+  const Matrix l2 = loli_ir_reconstruct(problem, cfg).l;
+  const double f = loli_ir_objective(problem, cfg, l2, r1);
+  ASSERT_GT(f, 0.0);
+  EXPECT_LT(max_partial(problem, cfg, l2, r1, false), 1e-6 * f) << "objective " << f;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Terms, LoliIrStationarity,
+    ::testing::Values(
+        StationarityCase{"AllRowsObserved", [](LoliIrProblem&, LoliIrConfig&) {}},
+        StationarityCase{"DeadRows",
+                         [](LoliIrProblem& p, LoliIrConfig&) {
+                           p.row_observed.assign(p.known.rows(), 1);
+                           p.row_observed[2] = 0;
+                           p.row_observed[7] = 0;
+                           for (std::size_t j = 0; j < p.known.cols(); ++j)
+                             p.known(2, j) = std::numeric_limits<double>::quiet_NaN();
+                         }},
+        StationarityCase{"RepeatedReference",
+                         [](LoliIrProblem& p, LoliIrConfig&) {
+                           // A second measurement of the first reference grid.
+                           const std::size_t k = p.reference_indices.size();
+                           Matrix cols(p.known.rows(), k + 1);
+                           for (std::size_t i = 0; i < p.known.rows(); ++i) {
+                             for (std::size_t c = 0; c < k; ++c)
+                               cols(i, c) = p.reference_columns(i, c);
+                             cols(i, k) = p.reference_columns(i, 0) + 0.5;
+                           }
+                           p.reference_columns = cols;
+                           p.reference_indices.push_back(p.reference_indices[0]);
+                         }},
+        StationarityCase{"AnchoredPairwise",
+                         [](LoliIrProblem&, LoliIrConfig& c) {
+                           c.anchor_pairwise_to_prediction = true;
+                         }},
+        StationarityCase{"NoData", [](LoliIrProblem&, LoliIrConfig& c) { c.data_weight = 0.0; }},
+        StationarityCase{"NoLrr", [](LoliIrProblem&, LoliIrConfig& c) { c.lrr_weight = 0.0; }},
+        StationarityCase{"NoReference",
+                         [](LoliIrProblem&, LoliIrConfig& c) { c.reference_weight = 0.0; }},
+        StationarityCase{"NoContinuity",
+                         [](LoliIrProblem&, LoliIrConfig& c) { c.continuity_weight = 0.0; }},
+        StationarityCase{"NoSimilarity",
+                         [](LoliIrProblem&, LoliIrConfig& c) { c.similarity_weight = 0.0; }}),
+    [](const ::testing::TestParamInfo<StationarityCase>& info) { return info.param.name; });
 
 }  // namespace
 }  // namespace tafloc
